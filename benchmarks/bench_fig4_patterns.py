@@ -46,7 +46,7 @@ def test_fig4_patterns(benchmark):
     composed = compose([fig4a, fig4b], "A-B-C")
     composed.check_structure()
     assert composed.is_live()
-    composed.check_consistency()
+    composed.check_model()
     direct = linear_pipeline(["A", "B", "C"])
     assert set(composed.transitions) == set(direct.transitions)
 

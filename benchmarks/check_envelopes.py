@@ -42,13 +42,22 @@ METRIC_TYPES = {
 
 #: Columns specific artifacts must carry — the load-bearing fields
 #: downstream tooling keys on.  The pipeline sweep must report the
-#: lane width each cell verified at (``lanes``), and the width sweep
-#: must carry its full (config, backend, width) measurement tuple.
+#: lane width each cell verified at (``lanes``), the width sweep
+#: must carry its full (config, backend, width) measurement tuple, and
+#: the model bench both verdicts and their agreement.
 REQUIRED_COLUMNS = {
     "BENCH_pipeline.json": {"lanes"},
     "BENCH_width.json": {"name", "tier", "backend", "lanes",
                          "seeds_per_s", "speedup_vs_64"},
     "BENCH_jobs.json": {"cache_hit_rate", "reclaimed", "duplicates"},
+    "BENCH_model.json": {"structural", "explored", "agree"},
+}
+
+#: Columns no row of an artifact may hold ``false`` in: the model bench
+#: must report zero structural-vs-explored disagreements (``null``
+#: marks an explored check that ran out of budget).
+NEVER_FALSE_COLUMNS = {
+    "BENCH_model.json": "agree",
 }
 
 
@@ -104,6 +113,10 @@ def check_envelopes(out_dir: str) -> list[str]:
             if not isinstance(row, dict) or list(row) != columns:
                 raise SystemExit(
                     f"{name}: row {index} keys do not match columns")
+            column = NEVER_FALSE_COLUMNS.get(name)
+            if column is not None and row[column] is False:
+                raise SystemExit(
+                    f"{name}: row {index} has {column}=false: {row}")
         _check_metrics(name, payload["metrics"])
     return [os.path.basename(path) for path in paths]
 

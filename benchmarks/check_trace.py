@@ -4,8 +4,9 @@ CI arms the tracer (``REPRO_TRACE=<path>``) on the pipeline smoke sweep
 and then runs this validator on the resulting file: the trace must be
 valid JSON in the Chrome trace-event envelope, non-empty, and carry the
 spans the instrumentation promises — per-pass spans from
-``run_pipeline``, per-cell spans from ``sweep_pipelines``, and at least
-one per-engine simulator span.  A refactor that silently disconnects
+``run_pipeline``, per-cell spans from ``sweep_pipelines``, at least
+one per-engine simulator span, and the model layer's validation,
+cycle-time and hold spans.  A refactor that silently disconnects
 the tracer from any of those layers fails the build here instead of
 producing an empty-but-loadable artifact.
 
@@ -24,6 +25,7 @@ REQUIRED_PREFIXES = {
     "sweep cells": "sweep:cell",
     "equivalence checks": "equiv:",
     "simulator engines": "sim:",
+    "model checks": "model:",
 }
 
 

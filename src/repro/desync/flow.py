@@ -43,6 +43,7 @@ from repro.desync.network import (
     HandshakeMode,
 )
 from repro.netlist.core import Netlist
+from repro.obs.trace import TRACER
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.petri.simulate import simulate
 from repro.stg.desync_model import build_model, extract_banks, latch_adjacency
@@ -69,10 +70,11 @@ class DesyncOptions:
             (see :class:`repro.desync.network.HandshakeMode`); the
             protocol name string is accepted too.
         hold_slack: overlap-mode self-pacing stretch in ps.
-        validate_model: run liveness / consistency / boundedness checks
-            on the composed fabric model; disable for very large bank
-            graphs (the checks walk the reachability graph).
-        model_check_states: state cap for those checks.
+        validate_model: run the structural liveness / boundedness /
+            consistency checks (:meth:`repro.stg.Stg.check_model`) on
+            the composed fabric model; they are polynomial in the model
+            size, so only callers that build the same model repeatedly
+            gain anything from turning them off.
         strategy: clustering strategy name (an entry of
             :data:`repro.desync.clustering.CLUSTERING_STRATEGIES`).
         cluster_cap: register cap forwarded to size-capped strategies
@@ -94,7 +96,6 @@ class DesyncOptions:
     mode: HandshakeMode = HandshakeMode.OVERLAP
     hold_slack: float = DEFAULT_HOLD_SLACK
     validate_model: bool = True
-    model_check_states: int = 200_000
     strategy: str = "scc"
     cluster_cap: int | None = None
     sync_banks: tuple[str, ...] = ()
@@ -121,12 +122,6 @@ class DesyncOptions:
                 raise OptionsError(
                     name,
                     f"must be a finite non-negative number, got {value!r}")
-        if not isinstance(self.model_check_states, int) \
-                or self.model_check_states < 1:
-            raise OptionsError(
-                "model_check_states",
-                f"must be a positive state cap, got "
-                f"{self.model_check_states!r}")
         if self.strategy not in CLUSTERING_STRATEGIES:
             raise OptionsError(
                 "strategy",
@@ -272,6 +267,12 @@ class DesyncResult:
         definitive functional check in this reproduction is
         :func:`repro.equiv.check_flow_equivalence`.
         """
+        with TRACER.span("model:hold", rounds=rounds, use_model=use_model,
+                         edges=len(self.clustering.edges)):
+            return self._hold_checks(rounds, use_model, backend)
+
+    def _hold_checks(self, rounds: int, use_model: bool,
+                     backend: str) -> list[HoldCheck]:
         latch_delay = self.sync_netlist.library["LATCH_H"].delay
         if use_model:
             trace = simulate(self.model, rounds=rounds)

@@ -341,7 +341,7 @@ class ControllerNetworkPass(Pass):
                                  ctx.sync_netlist.library,
                                  name=f"desync:{ctx.sync_netlist.name}")
         if opts.validate_model:
-            ctx.model.check_model(max_states=opts.model_check_states)
+            ctx.model.check_model()
         return {
             "controllers": len(ctx.network.controllers),
             "delay_lines": len(ctx.network.delay_plans),
@@ -392,7 +392,7 @@ class BaselineModelPass(Pass):
                             delay_fn=delay_fn,
                             controller_delay=controller_delay)
         if opts.validate_model:
-            ctx.model.check_model(max_states=opts.model_check_states)
+            ctx.model.check_model()
         return {
             "kind": self.kind,
             "controllers": len(banks),
@@ -533,6 +533,16 @@ class PipelineVariant:
     sync_banks: str | tuple[str, ...] = ()
     check_equivalence: bool = True
 
+    def options_for(self, netlist: Netlist) -> DesyncOptions:
+        """A copy of ``options`` with this variant's sync island for
+        ``netlist`` filled in."""
+        options = replace(self.options)
+        if self.sync_banks == AUTO_SYNC_BANKS:
+            options.sync_banks = auto_sync_banks(netlist)
+        elif self.sync_banks:
+            options.sync_banks = tuple(self.sync_banks)
+        return options
+
 
 def default_variants() -> list[PipelineVariant]:
     """The stock sweep grid: the strategy spectrum, partial conversion,
@@ -563,15 +573,9 @@ def default_variants() -> list[PipelineVariant]:
         PipelineVariant("partial-serial",
                         options=DesyncOptions(mode=serial),
                         sync_banks=AUTO_SYNC_BANKS),
-        # Baseline models carry one signal per latch bank (two per
-        # register): full reachability checks explode on the larger
-        # corpus members, so the sweep skips them (the structural and
-        # liveness checks run on small designs in the test suite).
         PipelineVariant("dlap", pipeline="doubly_latched",
-                        options=DesyncOptions(validate_model=False),
                         check_equivalence=False),
         PipelineVariant("nonoverlap", pipeline="nonoverlap",
-                        options=DesyncOptions(validate_model=False),
                         check_equivalence=False),
     ]
 
@@ -597,19 +601,6 @@ SWEEP_COLUMNS = [
 #: one lane-parallel replay per cell (both equivalence sides batched),
 #: not one event simulation per seed.
 SWEEP_SEEDS = tuple(range(8))
-
-#: Register-bank count above which a sweep cell skips the timed-model
-#: reachability checks (``DesyncOptions.validate_model``).  The OVERLAP
-#: fabric's pacing tokens make the marked-graph state space grow
-#: combinatorially with chain depth — ``fir16``'s 17-bank chain already
-#: exceeds the 200k-marking cap — while flow equivalence (the actual
-#: correctness gate) scales fine.  Structural model checks still run on
-#: every sub-cap config, so the model checker keeps real coverage on
-#: the core corpus.  11 is empirical: the 12-stage deep pipelines are
-#: the smallest corpus members whose overlap-mode reachability blows
-#: the marking cap.
-MODEL_VALIDATION_BANK_CAP = 11
-
 
 #: Environment variable the sweep reads for its default shard count.
 JOBS_ENV = "REPRO_JOBS"
@@ -654,10 +645,7 @@ def sweep_pipelines(configs: list[str] | None = None,
     sweep cost), in which case the row reports ``status='unchecked'``.
     A variant that is structurally inapplicable (e.g. ``per-register``
     on a cyclic register graph) reports ``status='invalid'`` instead of
-    failing the sweep.  Configs with more than
-    :data:`MODEL_VALIDATION_BANK_CAP` register banks run with timed-model
-    reachability validation disabled (it explodes on deep overlap
-    chains; flow equivalence remains the correctness gate).
+    failing the sweep.
 
     Each row records the build-vs-verify wall-time split (``build_ms`` /
     ``verify_ms``), the engine(s) that produced the desync streams
@@ -1053,17 +1041,7 @@ def _sweep_cell(config, netlist, variant, seeds, cycles, backend,
     from time import perf_counter
 
     stats = {"engines": {}, "reasons": {}}
-    options = replace(variant.options)
-    if options.validate_model and \
-            sum(1 for _ in iter_register_banks(netlist)) \
-            > MODEL_VALIDATION_BANK_CAP:
-        # Scale-tier members blow the reachability cap (see
-        # MODEL_VALIDATION_BANK_CAP); equivalence stays the gate.
-        options.validate_model = False
-    if variant.sync_banks == AUTO_SYNC_BANKS:
-        options.sync_banks = auto_sync_banks(netlist)
-    elif variant.sync_banks:
-        options.sync_banks = tuple(variant.sync_banks)
+    options = variant.options_for(netlist)
     row = {column: None for column in SWEEP_COLUMNS}
     row.update(config=config, variant=variant.name,
                pipeline=variant.pipeline, strategy=options.strategy,

@@ -176,8 +176,8 @@ def _campaign_worker_init() -> None:
     _RESULT_CACHE.clear()
 
 
-def campaign_options(netlist):
-    """The serial-mode flow options a campaign uses for ``netlist``.
+def campaign_options():
+    """The serial-mode flow options a campaign uses for every config.
 
     Shared between the worker (which builds the pipeline) and the
     driver (which derives result-cache keys from
@@ -186,12 +186,6 @@ def campaign_options(netlist):
     run.
     """
     from repro.desync.flow import DesyncOptions, HandshakeMode
-    from repro.desync.pipeline import MODEL_VALIDATION_BANK_CAP
-    from repro.netlist import iter_register_banks
-    if sum(1 for _ in iter_register_banks(netlist)) \
-            > MODEL_VALIDATION_BANK_CAP:
-        return DesyncOptions(mode=HandshakeMode.SERIAL,
-                             validate_model=False)
     return DesyncOptions(mode=HandshakeMode.SERIAL)
 
 
@@ -201,8 +195,7 @@ def _campaign_result(config: str):
         from repro.corpus import generate
         from repro.desync.pipeline import make_result, run_pipeline
         netlist = generate(config)
-        result = make_result(run_pipeline(netlist,
-                                          campaign_options(netlist)))
+        result = make_result(run_pipeline(netlist, campaign_options()))
         _RESULT_CACHE[config] = result
     return result
 
@@ -372,7 +365,7 @@ def _campaign_cache_keys(cells: list[tuple[str, dict]]) -> dict[str, str]:
         if config not in per_config:
             netlist = generate(config)
             per_config[config] = (netlist.fingerprint(),
-                                  campaign_options(netlist).digest())
+                                  campaign_options().digest())
         fingerprint, options_digest = per_config[config]
         keys[key] = cache_key(
             fingerprint,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.obs.trace import TRACER
 from repro.petri.marked_graph import MarkedGraph, MgEdge
 from repro.utils.errors import PetriError
 
@@ -97,6 +98,12 @@ def cycle_time(graph: MarkedGraph, tolerance: float = 1e-6) -> CycleTimeResult:
     live — the ratio would be infinite) or has no cycles at all (the
     period is then 0: the graph is a finite pipeline with no feedback).
     """
+    with TRACER.span("model:cycle-time", transitions=len(graph.transitions),
+                     places=len(graph.places)):
+        return _cycle_time(graph, tolerance)
+
+
+def _cycle_time(graph: MarkedGraph, tolerance: float) -> CycleTimeResult:
     graph.check_structure()
     if not graph.is_live():
         raise PetriError(

@@ -12,8 +12,12 @@ classic results used here come from that view:
 
 * **liveness**: an MG is live iff every directed cycle carries >= 1 token
   (equivalently: the token-free subgraph is acyclic) [Commoner et al. 1971];
-* **safety** (1-boundedness): a live MG marking is safe iff every edge lies
-  on some cycle with token count exactly 1;
+* **boundedness**: in a live MG the most tokens an edge ``u -> v`` ever
+  holds is the token count of the least-marked cycle through it — its
+  own tokens plus the token distance ``d(v -> u)`` — and an edge on no
+  cycle is unbounded [Commoner et al. 1971; Murata 1989]; safety
+  (1-boundedness) is the case ``bound = 1``
+  (:meth:`MarkedGraph.bound_violation`);
 * **cycle time**: with transition delays, the steady-state cycle time is
   the maximum cycle ratio max_C sum(delay)/sum(tokens) — computed in
   :mod:`repro.petri.analysis`.
@@ -21,6 +25,7 @@ classic results used here come from that view:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.petri.net import PetriNet
@@ -123,35 +128,96 @@ class MarkedGraph(PetriNet):
     # classic marked-graph properties
     # ------------------------------------------------------------------
     def is_live(self) -> bool:
-        """True iff every directed cycle carries at least one token.
+        """True iff every directed cycle carries at least one token
+        (Commoner's theorem for marked graphs)."""
+        return self.token_free_cycle() is None
 
-        Checked as: the subgraph of token-free edges is acyclic (Commoner's
-        theorem for marked graphs).
+    def token_free_cycle(self) -> list[str] | None:
+        """One directed cycle carrying no token, as its transitions in
+        order, or None when the graph is live.
+
+        Kahn's algorithm peels the acyclic part of the token-free
+        subgraph; every transition it leaves has a token-free
+        predecessor that is also left, so walking those predecessors
+        must close a cycle.
         """
         self.check_structure()
         adjacency: dict[str, list[str]] = {t: [] for t in self.transitions}
         for edge in self.edges():
             if edge.tokens == 0:
                 adjacency[edge.source].append(edge.target)
-        # Kahn's algorithm on the token-free subgraph.
         indegree = {t: 0 for t in self.transitions}
-        for source, targets in adjacency.items():
+        for targets in adjacency.values():
             for target in targets:
                 indegree[target] += 1
         queue = [t for t, deg in indegree.items() if deg == 0]
-        visited = 0
         while queue:
             node = queue.pop()
-            visited += 1
             for target in adjacency[node]:
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     queue.append(target)
-        return visited == len(self.transitions)
+        stuck = [t for t, deg in indegree.items() if deg > 0]
+        if not stuck:
+            return None
+        predecessor = {}
+        for source, targets in adjacency.items():
+            if indegree[source] > 0:
+                for target in targets:
+                    predecessor.setdefault(target, source)
+        walk = [stuck[0]]
+        position = {stuck[0]: 0}
+        while True:
+            node = predecessor[walk[-1]]
+            if node in position:
+                cycle = walk[position[node]:]
+                cycle.reverse()
+                return cycle
+            position[node] = len(walk)
+            walk.append(node)
 
-    def is_safe(self, max_states: int = 100_000) -> bool:
-        """True iff no reachable marking exceeds one token per place."""
-        return self.is_bounded(bound=1, max_states=max_states)
+    def bound_violation(self, bound: int,
+                        paths: "TokenPaths | None" = None) -> str | None:
+        """Witness that some place can hold more than ``bound`` tokens,
+        or None when none can.
+
+        Structural, for live graphs only (check :meth:`is_live` first):
+        the most tokens place ``p = u -> v`` ever holds is ``M0(p) +
+        d(v -> u)``, the token count of the least-marked cycle through
+        ``p``, and a place on no cycle is unbounded [Commoner et al.
+        1971; Murata 1989].  The witness names the place and that cycle.
+        ``paths`` lets a caller share its distance cache.
+        """
+        if paths is None:
+            paths = TokenPaths(self)
+        for place in self.places:
+            source = self.place_pre[place][0]
+            target = self.place_post[place][0]
+            tokens = self.initial_marking.get(place, 0)
+            back = paths.distance(target, source)
+            if back is None:
+                return (f"place {place} ({source} -> {target}) is "
+                        f"unbounded: it lies on no cycle (there is no "
+                        f"path {target} -> {source})")
+            if tokens + back > bound:
+                return (f"place {place} ({source} -> {target}) can hold "
+                        f"{tokens + back} tokens: {tokens} of its own plus "
+                        f"{back} on the return path "
+                        f"{' -> '.join(paths.path(target, source))}")
+        return None
+
+    def is_safe(self) -> bool:
+        """True iff no reachable marking puts two tokens in a place.
+
+        Decided structurally (:meth:`bound_violation` with ``bound=1``),
+        which needs a live graph: raises :class:`PetriError` otherwise.
+        """
+        cycle = self.token_free_cycle()
+        if cycle is not None:
+            raise PetriError(
+                f"{self.name}: safety is decided only for live marked "
+                f"graphs (token-free cycle {' -> '.join(cycle + cycle[:1])})")
+        return self.bound_violation(1) is None
 
     def token_count_invariant(self) -> dict[frozenset[str], int]:
         """Token counts of the simple cycles through each transition pair.
@@ -184,3 +250,64 @@ class MarkedGraph(PetriNet):
             ]
             total += min(candidates) if candidates else 0
         return total
+
+
+class TokenPaths:
+    """Token distances between the transitions of a marked graph.
+
+    The token distance ``d(a -> b)`` is the least number of initial
+    tokens on a directed path from ``a`` to ``b`` (0 from a transition
+    to itself).  In a live marked graph it is exactly how many more
+    times ``b`` can fire than ``a`` from the initial marking, which is
+    what turns boundedness and consistency into shortest-path questions
+    [Murata 1989].  Each source gets one Dijkstra search, run on its
+    first query.  The graph must not change while the instance is in
+    use.
+    """
+
+    def __init__(self, graph: MarkedGraph):
+        marking = graph.initial_marking
+        self._out: dict[str, list[tuple[int, str]]] = {
+            t: [] for t in graph.transitions}
+        for place in graph.places:
+            self._out[graph.place_pre[place][0]].append(
+                (marking.get(place, 0), graph.place_post[place][0]))
+        self._trees: dict[str, tuple[dict[str, int], dict[str, str]]] = {}
+
+    def _tree(self, source: str) -> tuple[dict[str, int], dict[str, str]]:
+        """Distances from ``source`` and each reached transition's
+        predecessor on a least-token path."""
+        tree = self._trees.get(source)
+        if tree is not None:
+            return tree
+        distance = {source: 0}
+        parent: dict[str, str] = {}
+        heap = [(0, source)]
+        while heap:
+            reached, node = heapq.heappop(heap)
+            if reached > distance[node]:
+                continue
+            for tokens, target in self._out[node]:
+                candidate = reached + tokens
+                if candidate < distance.get(target, candidate + 1):
+                    distance[target] = candidate
+                    parent[target] = node
+                    heapq.heappush(heap, (candidate, target))
+        self._trees[source] = distance, parent
+        return distance, parent
+
+    def distance(self, source: str, target: str) -> int | None:
+        """``d(source -> target)``, or None when there is no path."""
+        return self._tree(source)[0].get(target)
+
+    def path(self, source: str, target: str) -> list[str] | None:
+        """The transitions of one least-token path from ``source`` to
+        ``target``, or None when there is no path."""
+        distance, parent = self._tree(source)
+        if target not in distance:
+            return None
+        path = [target]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path

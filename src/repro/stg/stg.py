@@ -8,15 +8,16 @@ bank ``x`` becomes transparent, ``x-`` means it closes and captures.
 In every model generated here each signal has exactly one rising and one
 falling transition, so transition names double as labels.  The class still
 carries an explicit label map so composed or hand-built STGs with repeated
-labels remain expressible.
+labels remain expressible; :meth:`Stg.check_model` rejects them, because
+its consistency theorem needs one rising and one falling transition per
+signal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.petri.marked_graph import MarkedGraph
-from repro.utils.errors import StgError
+from repro.obs.trace import TRACER
+from repro.petri.marked_graph import MarkedGraph, TokenPaths
+from repro.utils.errors import ReproError, StgError
 
 RISE = "+"
 FALL = "-"
@@ -34,20 +35,6 @@ def parse_label(label: str) -> tuple[str, str]:
     if len(label) < 2 or label[-1] not in (RISE, FALL):
         raise StgError(f"malformed STG label {label!r}")
     return label[:-1], label[-1]
-
-
-@dataclass(frozen=True)
-class SignalState:
-    """Binary state of all signals (used by the consistency checker)."""
-
-    values: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_dict(cls, values: dict[str, int]) -> "SignalState":
-        return cls(tuple(sorted(values.items())))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
 
 
 class Stg(MarkedGraph):
@@ -92,74 +79,98 @@ class Stg(MarkedGraph):
     # ------------------------------------------------------------------
     # semantic checks
     # ------------------------------------------------------------------
-    def check_consistency(self, max_states: int = 100_000) -> None:
-        """Verify rise/fall alternation over the whole reachability graph.
+    def check_model(self, bound: int = 2) -> None:
+        """Validate the model: marked-graph structure, liveness,
+        ``bound``-boundedness and consistency — the properties ref [1]
+        establishes for the composed de-synchronization model.
 
-        Walks every reachable marking, tracking the binary signal vector;
-        firing ``a+`` from a state where ``a`` is already 1 (or ``a-``
-        where it is 0) raises :class:`StgError`.  Also fails if two
-        distinct signal vectors are observed for one marking (the marking
-        does not determine the state).
-        """
-        def freeze(marking: dict[str, int]) -> tuple[tuple[str, int], ...]:
-            return tuple(sorted(marking.items()))
+        Each property is decided from the graph, never from its state
+        space, by three classical marked-graph theorems over the token
+        distance ``d(a -> b)`` (least initial tokens on a path from
+        ``a`` to ``b``; :class:`~repro.petri.marked_graph.TokenPaths`):
 
-        start = self.marking()
-        start_state = dict(self.initial_values)
-        seen: dict[tuple, SignalState] = {
-            freeze(start): SignalState.from_dict(start_state)}
-        frontier = [(start, start_state)]
-        explored = 0
-        while frontier:
-            marking, state = frontier.pop()
-            explored += 1
-            if explored > max_states:
-                raise StgError(f"consistency check exceeded {max_states} states")
-            for transition in self.enabled_transitions(marking):
-                signal, sign = self.signal_of(transition)
-                value = state.get(signal)
-                if value is None:
-                    raise StgError(f"transition {transition} on undeclared "
-                                   f"signal {signal}")
-                if sign == RISE and value == 1:
-                    raise StgError(
-                        f"inconsistent STG {self.name}: {transition} enabled "
-                        f"while {signal}=1")
-                if sign == FALL and value == 0:
-                    raise StgError(
-                        f"inconsistent STG {self.name}: {transition} enabled "
-                        f"while {signal}=0")
-                successor = self.fire(marking, transition)
-                new_state = dict(state)
-                new_state[signal] = 1 if sign == RISE else 0
-                key = freeze(successor)
-                recorded = seen.get(key)
-                candidate = SignalState.from_dict(new_state)
-                if recorded is None:
-                    seen[key] = candidate
-                    frontier.append((successor, new_state))
-                elif recorded != candidate:
-                    raise StgError(
-                        f"inconsistent STG {self.name}: marking reached with "
-                        f"two different signal states")
+        1. **Liveness** [Commoner et al. 1971]: a marked graph is live
+           iff every directed cycle carries a token.
+        2. **Boundedness** [Commoner et al. 1971; Murata 1989]: in a
+           live marked graph the most tokens place ``p = u -> v`` ever
+           holds is ``M0(p) + d(v -> u)``, the tokens of the
+           least-marked cycle through ``p``; a place on no cycle is
+           unbounded.
+        3. **Consistency** [Murata 1989]: a live marked graph reaches
+           every marking its state equation allows, so ``d(a -> b)``
+           is the most times ``b`` can fire ahead of ``a``.  Signal
+           ``x`` therefore alternates rise and fall iff
+           ``(d(x+ -> x-), d(x- -> x+))`` is ``(0, 1)`` when ``x``
+           starts at 0 and ``(1, 0)`` when it starts at 1.
 
-    def check_model(self, max_states: int = 100_000, bound: int = 2) -> None:
-        """Full validation: marked-graph structure, liveness, boundedness
-        and consistency — the properties ref [1] establishes for the
-        composed de-synchronization model.
+        At most one Dijkstra search per transition makes the check
+        polynomial.  A failure raises
+        :class:`StgError` naming a witness: the token-free cycle, or the
+        place or signal and its least-token path.
 
         The composed model is 1-safe along the canonical schedule but
         boundary latches may transiently run one handshake ahead under
-        maximally-reordered interleavings, so the default boundedness
-        check allows two tokens per place (see
-        :mod:`repro.stg.patterns`).
+        maximally-reordered interleavings, so the default bound allows
+        two tokens per place (see :mod:`repro.stg.patterns`).
         """
+        with TRACER.span("model:check", transitions=len(self.transitions),
+                         places=len(self.places)) as span:
+            try:
+                self._check_model(bound)
+            except ReproError:
+                span.set(verdict="invalid")
+                raise
+            span.set(verdict="valid")
+
+    def _check_model(self, bound: int) -> None:
         self.check_structure()
-        if not self.is_live():
-            raise StgError(f"STG {self.name} is not live (token-free cycle)")
-        if not self.is_bounded(bound=bound, max_states=max_states):
-            raise StgError(f"STG {self.name} is not {bound}-bounded")
-        self.check_consistency(max_states=max_states)
+        cycle = self.token_free_cycle()
+        if cycle is not None:
+            raise StgError(f"STG {self.name} is not live: token-free cycle "
+                           f"{' -> '.join(cycle + cycle[:1])}")
+        paths = TokenPaths(self)
+        witness = self.bound_violation(bound, paths)
+        if witness is not None:
+            raise StgError(f"STG {self.name} is not {bound}-bounded: "
+                           f"{witness}")
+        for signal, (rise, fall) in self._signal_transitions().items():
+            start = self.initial_values[signal]
+            for source, target, tokens in ((rise, fall, start),
+                                           (fall, rise, 1 - start)):
+                carried = paths.distance(source, target)
+                if carried == tokens:
+                    continue
+                actual = (f"there is no path {source} -> {target}"
+                          if carried is None else
+                          f"the path "
+                          f"{' -> '.join(paths.path(source, target))} "
+                          f"carries {carried}")
+                raise StgError(
+                    f"inconsistent STG {self.name}: signal {signal} starts "
+                    f"at {start}, so the least-token path {source} -> "
+                    f"{target} must carry {tokens} token(s), but {actual}")
+
+    def _signal_transitions(self) -> dict[str, tuple[str, str]]:
+        """signal -> (rise, fall) transition names; every declared signal
+        must have exactly one of each."""
+        edges: dict[str, dict[str, list[str]]] = {
+            signal: {RISE: [], FALL: []} for signal in self.initial_values}
+        for transition in self.transitions:
+            signal, sign = self.signal_of(transition)
+            if signal not in edges:
+                raise StgError(f"transition {transition} on undeclared "
+                               f"signal {signal}")
+            edges[signal][sign].append(transition)
+        result = {}
+        for signal, found in edges.items():
+            if len(found[RISE]) != 1 or len(found[FALL]) != 1:
+                raise StgError(
+                    f"STG {self.name}: signal {signal} has "
+                    f"{len(found[RISE])} rising and {len(found[FALL])} "
+                    f"falling transitions; consistency is decided for "
+                    f"exactly one of each")
+            result[signal] = (found[RISE][0], found[FALL][0])
+        return result
 
 
 def compose(components: list[Stg], name: str) -> Stg:

@@ -173,10 +173,6 @@ class TestOptionsValidation:
         with pytest.raises(OptionsError, match="sync_banks"):
             DesyncOptions(sync_banks="st0")
 
-    def test_bad_model_check_states_rejected(self):
-        with pytest.raises(OptionsError, match="model_check_states"):
-            DesyncOptions(model_check_states=0)
-
 
 # Five corpus configs per strategy (the feed-forward set for
 # per-register, which is structurally invalid on cyclic register
@@ -333,7 +329,7 @@ class TestBaselinePipelines:
         ctx = run_pipeline(generate("pipe4x1"), pipeline=name)
         ctx.model.check_structure()
         assert ctx.model.is_live()
-        ctx.model.check_consistency()
+        ctx.model.check_model()
         assert ctx.desync_cycle_time().cycle_time > 0
 
     def test_nonoverlap_serializes(self):
@@ -358,7 +354,6 @@ class TestSweepDriver:
                             options=DesyncOptions(strategy="per-register",
                                                   mode=HandshakeMode.SERIAL)),
             PipelineVariant("dlap", pipeline="doubly_latched",
-                            options=DesyncOptions(validate_model=False),
                             check_equivalence=False),
         ]
         columns, rows, summary = sweep_pipelines(configs=["pipe4x1", "lfsr8"],

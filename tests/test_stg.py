@@ -15,6 +15,7 @@ from repro.stg import (
     ring,
     transition_name,
 )
+from repro.testing.model_oracle import explored_consistency
 from repro.utils.errors import StgError
 
 
@@ -53,15 +54,18 @@ class TestStgBasics:
         stg.add_signal("a", 0)
         stg.connect("a+", "a-", tokens=0)
         stg.connect("a-", "a+", tokens=1)
-        stg.check_consistency()
+        stg.check_model()
+        explored_consistency(stg)
 
     def test_consistency_rejects_double_rise(self):
         stg = Stg("t")
         stg.add_signal("a", 1)  # a already high...
         stg.connect("a+", "a-", tokens=0)
         stg.connect("a-", "a+", tokens=1)  # ...but a+ enabled first
+        with pytest.raises(StgError, match="inconsistent.*signal a"):
+            stg.check_model()
         with pytest.raises(StgError, match="inconsistent"):
-            stg.check_consistency()
+            explored_consistency(stg)
 
 
 class TestParity:
@@ -196,7 +200,8 @@ class TestComposition:
         composed.check_structure()
         assert set(composed.signals()) == {"A", "B", "C"}
         assert composed.is_live()
-        composed.check_consistency()
+        composed.check_model()
+        explored_consistency(composed)
 
     def test_compose_conflicting_initial_values(self):
         first = Stg("x")
